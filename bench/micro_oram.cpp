@@ -1,6 +1,7 @@
 /// \file micro_oram.cpp
 /// Micro-benchmarks for Path ORAM: write/read at several capacities — the
-/// per-access cost behind the ObliDB "indexed" storage mode.
+/// per-access cost behind the ObliDB "indexed" storage mode — and a full
+/// touch scan at the oblivious-scan per-shard geometry.
 #include <benchmark/benchmark.h>
 
 #include "oram/path_oram.h"
@@ -60,6 +61,28 @@ void BM_OramReadWriteMix(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_OramReadWriteMix);
+
+// One oblivious indexed scan at the per-shard geometry of the perfbench
+// oblivious-scan workload: a 13,014-capacity tree holding 3,000 live
+// 92-byte blocks, touched once each in ascending id order per iteration.
+void BM_OramTouchScan(benchmark::State& state) {
+  PathOram::Config cfg;
+  cfg.capacity = 13014;
+  cfg.seed = 5;
+  PathOram oram(cfg);
+  const uint64_t kBlocks = 3000;
+  Bytes payload(92, 0xdd);
+  for (uint64_t i = 0; i < kBlocks; ++i) {
+    if (!oram.Write(i, payload).ok()) state.SkipWithError("fill failed");
+  }
+  for (auto _ : state) {
+    for (uint64_t id = 0; id < kBlocks; ++id) {
+      benchmark::DoNotOptimize(oram.Touch(id));
+    }
+  }
+  state.SetItemsProcessed(state.iterations() * static_cast<int64_t>(kBlocks));
+}
+BENCHMARK(BM_OramTouchScan)->Unit(benchmark::kMicrosecond);
 
 }  // namespace
 }  // namespace dpsync::oram

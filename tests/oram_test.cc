@@ -8,6 +8,7 @@
 #include <map>
 
 #include "common/bytes.h"
+#include "common/rng.h"
 #include "common/shard_router.h"
 #include "edb/leakage.h"
 #include "oram/oram_mirror.h"
@@ -397,6 +398,171 @@ TEST_P(OramSizeTest, FillDrainRoundTrip) {
 
 INSTANTIATE_TEST_SUITE_P(Capacities, OramSizeTest,
                          ::testing::Values(2, 4, 16, 100, 512, 1000));
+
+// ------------------------------------------------------- golden parity
+
+// These constants pin the tree's observable behaviour: the leaf transcript,
+// the stash occupancy after every access, the stash high-water mark, the
+// access count and every value read back. The tree layout may change; none
+// of these may. Greedy bottom-up eviction places min(Z, eligible) blocks per
+// bucket whichever eligible blocks it picks, so stash occupancy depends only
+// on the leaf stream, never on the storage order of buckets or stash.
+
+uint64_t FoldWord(uint64_t h, uint64_t word) {
+  uint8_t buf[8];
+  StoreLE64(buf, word);
+  return Fnv1a64(buf, sizeof(buf), h);
+}
+
+uint64_t TranscriptHash(const std::vector<PathAccess>& trace) {
+  uint64_t h = Fnv1a64(nullptr, 0);
+  for (const auto& a : trace) h = FoldWord(h, a.leaf);
+  return h;
+}
+
+/// A payload that differs per id *and* per write, so a stale value shows.
+Bytes VersionedPayload(uint64_t id, uint64_t version) {
+  Bytes b(24, 0);
+  StoreLE64(b.data(), id);
+  StoreLE64(b.data() + 8, version);
+  StoreLE64(b.data() + 16, (id + 1) * 0x9e3779b97f4a7c15ULL ^ version);
+  return b;
+}
+
+struct GoldenCase {
+  size_t capacity;
+  size_t blocks;  ///< blocks written before the mixed phase
+  uint64_t seed;
+  // Pinned results.
+  uint64_t leaf_hash;
+  uint64_t stash_hash;
+  size_t max_stash;
+  int64_t accesses;
+  uint64_t read_hash;
+};
+
+/// Fills `blocks` ids, then runs a seeded mix of new-block and overwrite
+/// writes, reads, touches and removes over ids [0, blocks * 5 / 4] — so a
+/// share of calls hit absent ids (NotFound) or a full tree (OutOfRange).
+/// A model map checks every read; failed calls must not touch the tree.
+GoldenCase RunGoldenMix(size_t capacity, size_t blocks, uint64_t seed) {
+  PathOram::Config cfg;
+  cfg.capacity = capacity;
+  cfg.seed = seed;
+  cfg.record_trace = true;
+  PathOram oram(cfg);
+  std::map<uint64_t, Bytes> model;
+  uint64_t version = 0;
+  uint64_t stash_hash = Fnv1a64(nullptr, 0);
+  uint64_t read_hash = Fnv1a64(nullptr, 0);
+  int64_t before = 0;
+  // Every successful call is exactly one path access; a failed call is
+  // none, and leaves the stash alone.
+  auto check = [&](const Status& s, bool expect_ok, StatusCode code) {
+    EXPECT_EQ(oram.access_count(), before + (expect_ok ? 1 : 0));
+    before = oram.access_count();
+    if (expect_ok) {
+      EXPECT_TRUE(s.ok()) << s.ToString();
+      stash_hash = FoldWord(stash_hash, oram.stash_size());
+    } else {
+      EXPECT_EQ(s.code(), code);
+    }
+  };
+
+  for (uint64_t id = 0; id < blocks; ++id) {
+    Bytes v = VersionedPayload(id, ++version);
+    model[id] = v;
+    check(oram.Write(id, std::move(v)), true, StatusCode::kOk);
+  }
+  Rng rng(seed * 31 + 7);
+  const int64_t max_id = static_cast<int64_t>(blocks + blocks / 4);
+  for (int op = 0; op < 4000; ++op) {
+    const uint64_t id = static_cast<uint64_t>(rng.UniformInt(0, max_id));
+    const bool live = model.count(id) != 0;
+    switch (rng.UniformInt(0, 9)) {
+      case 0: case 1: case 2: case 3: {  // Read
+        auto r = oram.Read(id);
+        check(r.status(), live, StatusCode::kNotFound);
+        if (live && r.ok()) {
+          EXPECT_EQ(r.value(), model[id]) << "id " << id << " op " << op;
+          read_hash = Fnv1a64(r.value().data(), r.value().size(), read_hash);
+        }
+        break;
+      }
+      case 4: case 5:  // Touch
+        check(oram.Touch(id), live, StatusCode::kNotFound);
+        break;
+      case 6: case 7: case 8: {  // Write: overwrite, or a new block
+        const bool fits = live || model.size() < capacity;
+        Bytes v = VersionedPayload(id, ++version);
+        if (fits) model[id] = v;
+        check(oram.Write(id, std::move(v)), fits, StatusCode::kOutOfRange);
+        break;
+      }
+      default:  // Remove
+        check(oram.Remove(id), live, StatusCode::kNotFound);
+        model.erase(id);
+        break;
+    }
+  }
+  EXPECT_EQ(oram.size(), model.size());
+  EXPECT_EQ(static_cast<int64_t>(oram.trace().size()), oram.access_count());
+  return {capacity,          blocks,
+          seed,              TranscriptHash(oram.trace()),
+          stash_hash,        oram.max_stash_size(),
+          oram.access_count(), read_hash};
+}
+
+TEST(PathOramGoldenTest, TranscriptStashAndReadsArePinned) {
+  const GoldenCase kCases[] = {
+      // capacity, blocks, seed, leaf_hash, stash_hash, max_stash,
+      // accesses, read_hash
+      {16, 16, 101, 0x5b90f5ddb9230c69ULL, 0xe1054b3fa124f606ULL, 2, 3070,
+       0xb32dd3f3a92a51ebULL},
+      {256, 192, 202, 0x026466150f0a66c6ULL, 0x5d3a4de947364ce0ULL, 4, 3484,
+       0x8b81c089d035a9bfULL},
+      {1024, 1000, 303, 0x8b97415a77feb46bULL, 0x5681197b1bbf2644ULL, 5, 4329,
+       0xa3cefb53df244f03ULL},
+      {13014, 3000, 404, 0x30b9382224e8ff44ULL, 0x1690e53032f05002ULL, 9,
+       6434, 0x35769a2be6d58e73ULL},
+  };
+  for (const auto& want : kCases) {
+    SCOPED_TRACE("capacity " + std::to_string(want.capacity));
+    GoldenCase got = RunGoldenMix(want.capacity, want.blocks, want.seed);
+    EXPECT_EQ(got.leaf_hash, want.leaf_hash);
+    EXPECT_EQ(got.stash_hash, want.stash_hash);
+    EXPECT_EQ(got.max_stash, want.max_stash);
+    EXPECT_EQ(got.accesses, want.accesses);
+    EXPECT_EQ(got.read_hash, want.read_hash);
+  }
+}
+
+TEST(PathOramGoldenTest, ShardedTranscriptsArePinned) {
+  OramMirrorConfig cfg = MirrorConfig(4, /*trace=*/true);
+  cfg.capacity = 1024;
+  auto mirror = MakeOramMirror(cfg);
+  for (uint64_t id = 0; id < 600; ++id) {
+    ASSERT_TRUE(mirror->Mirror(id, Identity(id), Payload(id)).ok()) << id;
+  }
+  Rng rng(99);
+  for (int op = 0; op < 3000; ++op) {
+    const uint64_t id = static_cast<uint64_t>(rng.UniformInt(0, 599));
+    if (op % 3 == 0) {
+      ASSERT_TRUE(mirror->Read(id).ok()) << id;
+    } else {
+      ASSERT_TRUE(mirror->Touch(id).ok()) << id;
+    }
+  }
+  const uint64_t kShardHashes[4] = {
+      0x7c730779a1d47ad1ULL, 0x67449c5f5746a702ULL, 0x3c58847f25ae7de9ULL,
+      0xaef3754febe09f59ULL};
+  const int64_t kShardAccesses[4] = {871, 841, 1003, 885};
+  for (int s = 0; s < 4; ++s) {
+    EXPECT_EQ(TranscriptHash(mirror->Trace(s)), kShardHashes[s]) << s;
+    EXPECT_EQ(mirror->ShardAccessCount(s), kShardAccesses[s]) << s;
+  }
+  EXPECT_EQ(mirror->StashStats().max_stash_size, 4u);
+}
 
 }  // namespace
 }  // namespace dpsync::oram
