@@ -2,9 +2,11 @@
 /// Empirically verifies Table 2: the privacy / logical-gap / outsourced-
 /// volume characteristics of every synchronization strategy. For the DP
 /// strategies it compares the measured peak logical gap and dummy volume
-/// against the Theorem 6-9 bounds (with beta = 0.05).
+/// against the Theorem 6-9 bounds (with beta = 0.05). Each strategy row is
+/// also a BENCH_table2_bounds.json entry (bounds of 0 mean "n/a").
 #include <cmath>
 #include <iostream>
+#include <sstream>
 
 #include "bench_util.h"
 #include "common/table_printer.h"
@@ -107,6 +109,16 @@ int main() {
         row.volume_bound = double(row.received) + alpha + eta;
         break;
     }
+    std::ostringstream json;
+    json.precision(17);
+    json << "{\"strategy\":\"" << row.strategy << "\",\"privacy\":\""
+         << row.privacy << "\",\"max_gap\":" << row.max_gap
+         << ",\"gap_bound\":" << row.gap_bound
+         << ",\"outsourced\":" << row.outsourced
+         << ",\"volume_bound\":" << row.volume_bound
+         << ",\"received\":" << row.received << ",\"syncs\":" << row.syncs
+         << "}";
+    bench::RecordEntry(json.str());
     table.AddRow({row.strategy, row.privacy, std::to_string(row.max_gap),
                   row.gap_bound > 0 ? TablePrinter::Fmt(row.gap_bound, 0) : "-",
                   std::to_string(row.outsourced),

@@ -1,7 +1,6 @@
 #include "oram/path_oram.h"
 
 #include <algorithm>
-#include <cassert>
 
 namespace dpsync::oram {
 
@@ -21,21 +20,9 @@ PathOram::PathOram(const Config& config) : config_(config), rng_(config.seed) {
   size_t leaf_bits = CeilLog2(std::max<size_t>(config.capacity, 2));
   num_leaves_ = size_t{1} << leaf_bits;
   num_levels_ = leaf_bits + 1;
-  tree_.resize(2 * num_leaves_ - 1);
-  for (auto& bucket : tree_) bucket.resize(config_.bucket_size);
-}
-
-size_t PathOram::NodeIndex(uint64_t leaf, size_t level) const {
-  // Nodes are heap-indexed: root = 0, leaf l = (num_leaves_-1) + l. The
-  // node at `level` on the path is the leaf's ancestor at that depth.
-  size_t node = (num_leaves_ - 1) + static_cast<size_t>(leaf);
-  for (size_t i = num_levels_ - 1; i > level; --i) node = (node - 1) / 2;
-  return node;
-}
-
-bool PathOram::PathsIntersectAt(uint64_t leaf, uint64_t other_leaf,
-                                size_t level) const {
-  return NodeIndex(leaf, level) == NodeIndex(other_leaf, level);
+  slots_.resize((2 * num_leaves_ - 1) * config_.bucket_size);
+  fill_.resize(2 * num_leaves_ - 1, 0);
+  path_.resize(num_levels_);
 }
 
 StatusOr<Bytes> PathOram::Access(Op op, uint64_t id, Bytes* new_value) {
@@ -54,61 +41,66 @@ StatusOr<Bytes> PathOram::Access(Op op, uint64_t id, Bytes* new_value) {
   ++access_count_;
   if (config_.record_trace) trace_.push_back({old_leaf});
 
-  // 2. Read the whole path into the stash.
+  // 2. Read the whole path into the stash. Nodes are heap-indexed, so the
+  //    path's node at `level` is the top `level` bits of the leaf, offset
+  //    by the 2^level - 1 nodes above that level.
+  const size_t z = config_.bucket_size;
+  const size_t leaf_bits = num_levels_ - 1;
   for (size_t level = 0; level < num_levels_; ++level) {
-    auto& bucket = tree_[NodeIndex(old_leaf, level)];
-    for (auto& block : bucket) {
-      if (!block.valid()) continue;
-      stash_[block.id] = std::move(block.data);
-      block = OramBlock{};
+    const size_t node = ((size_t{1} << level) - 1) +
+                        static_cast<size_t>(old_leaf >> (leaf_bits - level));
+    path_[level] = node;
+    for (uint32_t i = 0; i < fill_[node]; ++i) {
+      stash_.push_back(std::move(slots_[node * z + i]));
     }
+    fill_[node] = 0;
   }
 
-  // 3. Serve the request from the stash. A touch verifies presence but
-  //    skips the copy-out — scans only need the path access itself.
+  // 3. Serve the request from the stash and remap the block. A touch
+  //    verifies presence but skips the copy-out — scans only need the
+  //    path access itself.
   Bytes result;
-  if (op == Op::kRead || op == Op::kTouch) {
-    auto it = stash_.find(id);
+  const uint64_t new_leaf = RandomLeaf();
+  if (!exists) {  // a new block
+    stash_.push_back({id, new_leaf, std::move(*new_value)});
+    position_map_.emplace(id, new_leaf);
+  } else {
+    auto it = std::find_if(stash_.begin(), stash_.end(),
+                           [id](const OramBlock& b) { return b.id == id; });
     if (it == stash_.end()) {
       return Status::Internal("position map points to a missing block");
     }
-    if (op == Op::kRead) result = it->second;
-  } else if (op == Op::kWrite) {
-    stash_[id] = std::move(*new_value);
-  } else {  // kRemove
-    stash_.erase(id);
-  }
-
-  // 4. Update the position map.
-  uint64_t new_leaf = RandomLeaf();
-  if (op == Op::kRemove) {
-    position_map_.erase(id);
-  } else {
-    position_map_[id] = new_leaf;
-  }
-
-  // 5. Evict: refill the path bottom-up with stash blocks whose assigned
-  //    path shares the bucket.
-  for (size_t level = num_levels_; level-- > 0;) {
-    auto& bucket = tree_[NodeIndex(old_leaf, level)];
-    size_t slot = 0;
-    for (auto it = stash_.begin(); it != stash_.end() && slot < bucket.size();) {
-      auto pm = position_map_.find(it->first);
-      if (pm == position_map_.end()) {
-        // Orphaned stash entry (shouldn't happen); drop it.
-        it = stash_.erase(it);
-        continue;
-      }
-      if (PathsIntersectAt(old_leaf, pm->second, level)) {
-        bucket[slot].id = it->first;
-        bucket[slot].data = std::move(it->second);
-        ++slot;
-        it = stash_.erase(it);
-      } else {
-        ++it;
-      }
+    if (op == Op::kRead) result = it->data;
+    if (op == Op::kWrite) it->data = std::move(*new_value);
+    if (op == Op::kRemove) {
+      std::swap(*it, stash_.back());
+      stash_.pop_back();
+      position_map_.erase(pos_it);
+    } else {
+      it->leaf = new_leaf;
+      pos_it->second = new_leaf;
     }
   }
+
+  // 4. Evict greedily bottom-up. A block fits the path bucket at `level`
+  //    iff its leaf agrees with old_leaf on the top `level` bits: its
+  //    deepest shared level is leaf_bits - bit_width(leaf ^ old_leaf).
+  //    Ordering the stash by leaf ^ old_leaf puts the deepest-fitting
+  //    blocks first, so each bucket takes the next min(Z, eligible).
+  std::sort(stash_.begin(), stash_.end(),
+            [old_leaf](const OramBlock& a, const OramBlock& b) {
+              return (a.leaf ^ old_leaf) < (b.leaf ^ old_leaf);
+            });
+  size_t placed = 0;
+  for (size_t level = num_levels_; level-- > 0;) {
+    const size_t node = path_[level];
+    uint32_t& fill = fill_[node];
+    while (fill < z && placed < stash_.size() &&
+           ((stash_[placed].leaf ^ old_leaf) >> (leaf_bits - level)) == 0) {
+      slots_[node * z + fill++] = std::move(stash_[placed++]);
+    }
+  }
+  stash_.erase(stash_.begin(), stash_.begin() + static_cast<ptrdiff_t>(placed));
   max_stash_size_ = std::max(max_stash_size_, stash_.size());
   return result;
 }

@@ -12,10 +12,15 @@
 /// Parameters: bucket size Z (default 4), capacity N. The tree has
 /// 2^ceil(log2(max(N,2))) leaves; the stash holds overflow blocks and is
 /// expected to stay O(log N) (we track its high-water mark for tests).
+///
+/// Layout: one flat slot array indexed node * Z + i plus a fill count per
+/// bucket, and a vector stash. Every slot and stash entry carries its
+/// block's current leaf, so an access touches only the path's occupied
+/// slots and the stash, and moving blocks allocates nothing once the stash
+/// vector has grown (docs/ORAM.md, "Tree layout").
 #pragma once
 
 #include <cstdint>
-#include <optional>
 #include <unordered_map>
 #include <vector>
 
@@ -26,13 +31,13 @@
 
 namespace dpsync::oram {
 
-/// One ORAM block: an application identifier plus an opaque payload.
+/// One ORAM block: an application identifier, the leaf the block is
+/// currently mapped to, and an opaque payload.
 struct OramBlock {
   static constexpr uint64_t kInvalidId = ~0ull;
   uint64_t id = kInvalidId;
+  uint64_t leaf = 0;
   Bytes data;
-
-  bool valid() const { return id != kInvalidId; }
 };
 
 /// Tree-based ORAM with per-access path read/write.
@@ -110,22 +115,18 @@ class PathOram : public OramMirror {
   /// The single access procedure all operations funnel through.
   StatusOr<Bytes> Access(Op op, uint64_t id, Bytes* new_value);
 
-  /// Node index of the bucket at `level` (0 = root) on the path to `leaf`.
-  size_t NodeIndex(uint64_t leaf, size_t level) const;
-
-  /// True if the path to `leaf` passes through the node at `level` on the
-  /// path to `other_leaf` (i.e. both paths share that ancestor).
-  bool PathsIntersectAt(uint64_t leaf, uint64_t other_leaf,
-                        size_t level) const;
-
   uint64_t RandomLeaf() { return rng_.Next() % num_leaves_; }
 
   Config config_;
   size_t num_leaves_;
   size_t num_levels_;  ///< tree height + 1 (root..leaf inclusive)
-  std::vector<std::vector<OramBlock>> tree_;  ///< node -> bucket
+  /// Heap-ordered buckets (root = node 0, children of n at 2n+1, 2n+2):
+  /// bucket n owns slots [n * Z, n * Z + fill_[n]).
+  std::vector<OramBlock> slots_;
+  std::vector<uint32_t> fill_;
+  std::vector<size_t> path_;  ///< the current access's nodes, root first
   std::unordered_map<uint64_t, uint64_t> position_map_;  ///< id -> leaf
-  std::unordered_map<uint64_t, Bytes> stash_;
+  std::vector<OramBlock> stash_;
   Rng rng_;
   size_t max_stash_size_ = 0;
   int64_t access_count_ = 0;

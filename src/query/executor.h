@@ -83,7 +83,9 @@ struct Table {
     std::vector<RowSpan> spans;
     const auto parts = Parts();
     spans.reserve(parts.size());
-    for (const auto* part : parts) spans.push_back({part->data(), part->size()});
+    for (const auto* part : parts) {
+      spans.push_back({part->data(), part->size(), {}});
+    }
     return spans;
   }
 

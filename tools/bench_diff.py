@@ -48,6 +48,12 @@ DETERMINISTIC = [
     "join_pairs",
     "snapshot_joins",
     "iters",
+    # Table 2 rows (table2_bounds): the seeded trace and strategy RNG fix
+    # the peak gap, the volumes and the sync count.
+    "max_gap",
+    "outsourced",
+    "received",
+    "syncs",
 ]
 DETERMINISTIC_QUERY = ["mean_l1", "max_l1", "mean_qet"]
 # ORAM health: access counts are deterministic; the stash high-water mark
